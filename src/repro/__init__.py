@@ -52,6 +52,7 @@ from repro.core import (
     KDSSampler,
     PhaseTimings,
     SamplePair,
+    SamplePairs,
     SamplerEntry,
     brute_force_join,
     create_sampler,
@@ -170,6 +171,7 @@ __all__ = [
     "JoinSampler",
     "JoinSampleResult",
     "SamplePair",
+    "SamplePairs",
     "PhaseTimings",
     "BBSTSampler",
     "KDSSampler",

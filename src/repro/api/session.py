@@ -1045,7 +1045,7 @@ class SamplingSession:
                 finally:
                     self._release_entry(entry)
                 self._record_result(result)
-                yield result.pairs
+                yield list(result.pairs)
                 if remaining is not None:
                     remaining -= size
 

@@ -413,9 +413,9 @@ def run_kernel_speedup(
                 row["numba_draw_seconds"] = phase_seconds(numba_phases, "draw")
                 row["numba_refill_seconds"] = phase_seconds(numba_phases, "refill")
                 row["speedup"] = numpy_seconds / max(numba_seconds, 1e-9)
-                row["match"] = [
-                    p.as_index_tuple() for p in numba_result.pairs
-                ] == [p.as_index_tuple() for p in numpy_result.pairs]
+                row["match"] = np.array_equal(
+                    numba_result.index_pairs(), numpy_result.index_pairs()
+                )
             rows.append(row)
     return rows
 
@@ -756,9 +756,7 @@ def run_manager_multitenancy(
                 reference = twins[index].draw(t, seed=draw_seed)
                 draws += 1
                 peak_tracked = max(peak_tracked, manager.tracked_nbytes())
-                if [p.as_index_tuple() for p in managed.pairs] != [
-                    p.as_index_tuple() for p in reference.pairs
-                ]:
+                if not np.array_equal(managed.index_pairs(), reference.index_pairs()):
                     bit_identical = False
 
             # One tenant's data changes per round; its twin mirrors the

@@ -115,9 +115,9 @@ def run_warm_start(
                     warm_result = warm.draw(t, seed=seed)
                 finally:
                     warm.close()
-                match = [p.as_index_tuple() for p in warm_result.pairs] == [
-                    p.as_index_tuple() for p in cold_result.pairs
-                ]
+                match = np.array_equal(
+                    warm_result.index_pairs(), cold_result.index_pairs()
+                )
                 rows.append(
                     {
                         "dataset": dataset,

@@ -29,6 +29,7 @@ from repro.core.base import (
     JoinSampleResult,
     PhaseTimings,
     SamplePair,
+    SamplePairs,
     resolve_rng,
 )
 from repro.core.bbst_sampler import BBSTSampler
@@ -71,6 +72,7 @@ __all__ = [
     "JoinSampleResult",
     "PhaseTimings",
     "SamplePair",
+    "SamplePairs",
     "spatial_range_join",
     "spatial_range_join_array",
     "brute_force_join",

@@ -12,16 +12,19 @@ its per-cell kd-tree ablation) share the life-cycle the paper evaluates:
 Results carry the drawn pairs, the per-phase wall-clock times, the number of
 sampling iterations (accepted + rejected attempts) and algorithm-specific
 metadata such as ``sum_mu`` so that the experiment harness can reproduce the
-paper's tables without re-instrumenting the algorithms.
+paper's tables without re-instrumenting the algorithms.  The pairs are held
+column-wise (:class:`SamplePairs`): the samplers produce positions as arrays,
+and every hot consumer (shard gather, JSON encoding, deduplication) reads
+those arrays without building one Python object per pair.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, overload
 
 import numpy as np
 
@@ -33,6 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SamplePair",
+    "SamplePairs",
     "PhaseTimings",
     "JoinSampleResult",
     "JoinSampler",
@@ -114,16 +118,117 @@ class PhaseTimings:
         }
 
 
+class SamplePairs(Sequence[SamplePair]):
+    """The pairs of one draw, held column-wise as four aligned int64 arrays.
+
+    ``r_index`` / ``s_index`` are positions into the spec's point sets and
+    ``r_ids`` / ``s_ids`` the points' dataset identifiers.  ``len()`` is
+    O(1); indexing or iterating builds the :class:`SamplePair` objects once
+    (about 2 us per pair) and caches them - a compatibility view for
+    per-pair code.  The arrays are read-only.
+    """
+
+    __slots__ = ("r_index", "s_index", "r_ids", "s_ids", "_objects")
+
+    def __init__(
+        self,
+        r_index: np.ndarray,
+        s_index: np.ndarray,
+        r_ids: np.ndarray,
+        s_ids: np.ndarray,
+    ) -> None:
+        columns: list[np.ndarray] = []
+        for column in (r_index, s_index, r_ids, s_ids):
+            # A view, so freezing it never freezes the caller's array.
+            array = np.asarray(column, dtype=np.int64).view()
+            array.setflags(write=False)
+            columns.append(array)
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+            raise InvalidSpecError("pair columns must be equal-length 1-D arrays")
+        self.r_index, self.s_index, self.r_ids, self.s_ids = columns
+        self._objects: list[SamplePair] | None = None
+
+    @classmethod
+    def empty(cls) -> SamplePairs:
+        """No pairs (the result of a ``t = 0`` draw)."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, none, none)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[SamplePair]) -> SamplePairs:
+        """Columns of hand-built pair objects (which become the cached view)."""
+        objects = list(pairs)
+        table = np.array(
+            [(p.r_index, p.s_index, p.r_id, p.s_id) for p in objects], dtype=np.int64
+        ).reshape(-1, 4)
+        built = cls(table[:, 0], table[:, 1], table[:, 2], table[:, 3])
+        built._objects = objects
+        return built
+
+    def _materialise(self) -> list[SamplePair]:
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = [
+                SamplePair(r_id=rid, s_id=sid, r_index=ri, s_index=si)
+                for rid, sid, ri, si in zip(
+                    self.r_ids.tolist(),
+                    self.s_ids.tolist(),
+                    self.r_index.tolist(),
+                    self.s_index.tolist(),
+                )
+            ]
+        return objects
+
+    def __len__(self) -> int:
+        return int(self.r_index.shape[0])
+
+    @overload
+    def __getitem__(self, index: int) -> SamplePair: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SamplePair]: ...
+
+    def __getitem__(self, index: int | slice) -> SamplePair | list[SamplePair]:
+        return self._materialise()[index]
+
+    def __iter__(self) -> Iterator[SamplePair]:
+        return iter(self._materialise())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SamplePairs):
+            return all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("r_index", "s_index", "r_ids", "s_ids")
+            )
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SamplePairs(k={len(self)})"
+
+
 @dataclass(slots=True)
 class JoinSampleResult:
-    """Outcome of one ``sample(t)`` call."""
+    """Outcome of one ``sample(t)`` call.
+
+    ``pairs`` is a :class:`SamplePairs`; a plain sequence of
+    :class:`SamplePair` objects (a hand-built result) is wrapped on
+    construction.
+    """
 
     sampler_name: str
     requested: int
-    pairs: list[SamplePair]
+    pairs: SamplePairs
     timings: PhaseTimings
     iterations: int
     metadata: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.pairs, SamplePairs):
+            self.pairs = SamplePairs.from_pairs(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -140,34 +245,26 @@ class JoinSampleResult:
 
     def id_pairs(self) -> list[tuple[int, int]]:
         """All sampled pairs as ``(r_id, s_id)`` tuples."""
-        return [pair.as_id_tuple() for pair in self.pairs]
+        return list(zip(self.pairs.r_ids.tolist(), self.pairs.s_ids.tolist()))
 
     def index_pairs(self) -> np.ndarray:
         """All sampled pairs as an ``(k, 2)`` array of positional indices."""
-        if not self.pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array([pair.as_index_tuple() for pair in self.pairs], dtype=np.int64)
+        return np.column_stack((self.pairs.r_index, self.pairs.s_index))
 
 
 def build_sample_pairs(
     spec: JoinSpec, r_indices: np.ndarray, s_indices: np.ndarray
-) -> list[SamplePair]:
-    """Materialise :class:`SamplePair` objects from positional index arrays.
+) -> SamplePairs:
+    """The columnar pairs of positional index arrays (ids gathered from ``spec``).
 
-    Shared by every sampler's batch path; ``tolist()`` conversion keeps the
-    per-pair cost at plain-Python-int level rather than numpy scalar level.
+    Shared by every sampler's batch path: two array gathers, no per-pair
+    Python work.
     """
-    r_ids = spec.r_points.ids[r_indices]
-    s_ids = spec.s_points.ids[s_indices]
-    return [
-        SamplePair(r_id=rid, s_id=sid, r_index=ri, s_index=si)
-        for rid, sid, ri, si in zip(
-            r_ids.tolist(),
-            s_ids.tolist(),
-            np.asarray(r_indices).tolist(),
-            np.asarray(s_indices).tolist(),
-        )
-    ]
+    r_index = np.asarray(r_indices, dtype=np.int64)
+    s_index = np.asarray(s_indices, dtype=np.int64)
+    return SamplePairs(
+        r_index, s_index, spec.r_points.ids[r_index], spec.s_points.ids[s_index]
+    )
 
 
 class JoinSampler(abc.ABC):
@@ -353,13 +450,17 @@ class JoinSampler(abc.ABC):
         if t < 0:
             raise InvalidSpecError("t must be non-negative")
         rng = resolve_rng(rng, seed)
-        distinct: dict[tuple[int, int], SamplePair] = {}
+        # Dedupe on the index columns: a pair is keyed r_index * m + s_index,
+        # and each batch contributes its not-yet-seen pairs in first-occurrence
+        # order - the pairs (and the draws consumed) of a per-pair scan.
+        stride = max(self.spec.m, 1)
+        seen = np.empty(0, dtype=np.int64)
         timings = PhaseTimings()
         iterations = 0
         total_drawn = 0
         metadata: dict[str, Any] = {}
-        while len(distinct) < t:
-            remaining = t - len(distinct)
+        while seen.size < t:
+            remaining = t - seen.size
             batch = max(2 * remaining, 16)
             result = self.sample(batch, rng=rng)
             iterations += result.iterations
@@ -369,11 +470,12 @@ class JoinSampler(abc.ABC):
                 if phase in ("preprocess_seconds", "total_seconds"):
                     continue
                 setattr(timings, phase, getattr(timings, phase) + value)
-            for pair in result.pairs:
-                if len(distinct) >= t:
-                    break
-                distinct.setdefault(pair.as_index_tuple(), pair)
-            if total_drawn > max_attempt_factor * max(t, 1) and len(distinct) < t:
+            keys = result.pairs.r_index * stride + result.pairs.s_index
+            _unique, first = np.unique(keys, return_index=True)
+            first.sort()
+            fresh = first[~np.isin(keys[first], seen)][:remaining]
+            seen = np.concatenate((seen, keys[fresh]))
+            if total_drawn > max_attempt_factor * max(t, 1) and seen.size < t:
                 raise SamplingExhaustedError(
                     f"could not find {t} distinct join pairs after {total_drawn} draws; "
                     "the join result probably has fewer than t pairs"
@@ -383,7 +485,7 @@ class JoinSampler(abc.ABC):
         return JoinSampleResult(
             sampler_name=self.name,
             requested=t,
-            pairs=list(distinct.values()),
+            pairs=build_sample_pairs(self.spec, seen // stride, seen % stride),
             timings=timings,
             iterations=iterations,
             metadata=metadata,

@@ -88,6 +88,12 @@ class JoinSpec:
         dy = abs(float(self.r_points.ys[r_index]) - float(self.s_points.ys[s_index]))
         return dx <= self.half_extent and dy <= self.half_extent
 
+    def pairs_match(self, r_indices: np.ndarray, s_indices: np.ndarray) -> np.ndarray:
+        """Boolean mask: :meth:`pair_matches` of every ``(r, s)`` position pair."""
+        dx = np.abs(self.r_points.xs[r_indices] - self.s_points.xs[s_indices])
+        dy = np.abs(self.r_points.ys[r_indices] - self.s_points.ys[s_indices])
+        return (dx <= self.half_extent) & (dy <= self.half_extent)
+
     # ------------------------------------------------------------------
     def swapped(self) -> "JoinSpec":
         """The symmetric join with the roles of ``R`` and ``S`` exchanged.

@@ -63,7 +63,7 @@ from repro.core.base import (
     JoinSampler,
     JoinSampleResult,
     PhaseTimings,
-    SamplePair,
+    SamplePairs,
     build_sample_pairs,
 )
 from repro.core.batching import cutoff_at, next_batch_size, pick_int_scalar
@@ -681,15 +681,15 @@ class GridJoinSamplerBase(JoinSampler):
     # ------------------------------------------------------------------
     def _assemble_pairs(
         self, accepted_r: list[np.ndarray], accepted_sid: list[np.ndarray]
-    ) -> list[SamplePair]:
-        """Materialise :class:`SamplePair` objects from the accepted arrays.
+    ) -> SamplePairs:
+        """The columnar pairs of the accepted arrays.
 
         The engine tracks candidates by dataset id (the grid stores ids, not
         positions), so the ids are mapped back to positional indices with a
         cached sorted-id lookup before the shared pair builder runs.
         """
         if not accepted_r:
-            return []
+            return SamplePairs.empty()
         spec = self.spec
         r_indices = np.concatenate(accepted_r)
         s_ids = np.concatenate(accepted_sid)

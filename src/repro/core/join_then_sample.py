@@ -16,7 +16,7 @@ from repro.core.base import (
     JoinSampler,
     JoinSampleResult,
     PhaseTimings,
-    SamplePair,
+    SamplePairs,
     build_sample_pairs,
 )
 from repro.core.config import JoinSpec
@@ -85,7 +85,7 @@ class JoinThenSample(JoinSampler):
             )
 
         start = time.perf_counter()
-        pairs: list[SamplePair] = []
+        pairs = SamplePairs.empty()
         if pairs_index.shape[0] and t > 0:
             picks = rng.integers(pairs_index.shape[0], size=t)
             pairs = build_sample_pairs(spec, pairs_index[picks, 0], pairs_index[picks, 1])

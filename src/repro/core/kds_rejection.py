@@ -45,7 +45,7 @@ from repro.core.base import (
     JoinSampler,
     JoinSampleResult,
     PhaseTimings,
-    SamplePair,
+    SamplePairs,
     build_sample_pairs,
 )
 from repro.core.batching import cutoff_at, next_batch_size, pick_int_scalar, window_bounds
@@ -294,7 +294,7 @@ class KDSRejectionSampler(JoinSampler):
             if taken.size:
                 accepted_r.append(r[taken])
                 accepted_s.append(s_pos[taken])
-        pairs: list[SamplePair] = []
+        pairs = SamplePairs.empty()
         if accepted_r:
             pairs = build_sample_pairs(
                 spec, np.concatenate(accepted_r), np.concatenate(accepted_s)

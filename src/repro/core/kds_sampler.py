@@ -44,7 +44,7 @@ from repro.core.base import (
     JoinSampler,
     JoinSampleResult,
     PhaseTimings,
-    SamplePair,
+    SamplePairs,
     build_sample_pairs,
 )
 from repro.core.batching import pick_int_scalar, window_bounds
@@ -238,7 +238,7 @@ class KDSSampler(JoinSampler):
 
         # Sampling phase: every draw is one accepted pair.
         start = time.perf_counter()
-        pairs: list[SamplePair] = []
+        pairs = SamplePairs.empty()
         iterations = 0
         if alias is not None and t > 0:
             r_indices = alias.draw_many(t, rng)

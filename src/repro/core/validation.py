@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import InvalidSpecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,9 +68,18 @@ def validate_jobs(jobs: int, name: str = "jobs") -> int:
 
 def verify_pairs_in_join(spec: JoinSpec, result: JoinSampleResult) -> bool:
     """True iff every sampled pair satisfies the window predicate."""
-    return all(
-        spec.pair_matches(pair.r_index, pair.s_index) for pair in result.pairs
-    )
+    pairs = result.pairs
+    return bool(spec.pairs_match(pairs.r_index, pairs.s_index).all())
+
+
+def _position_checks(
+    ids: np.ndarray, index: np.ndarray, claimed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(in_range, mismatch)`` masks of positions ``index`` into ``ids``."""
+    in_range = (index >= 0) & (index < ids.shape[0])
+    mismatch = np.zeros(index.shape, dtype=bool)
+    mismatch[in_range] = ids[index[in_range]] != claimed[in_range]
+    return in_range, mismatch
 
 
 def validate_sample_result(spec: JoinSpec, result: JoinSampleResult) -> list[str]:
@@ -82,29 +93,37 @@ def validate_sample_result(spec: JoinSpec, result: JoinSampleResult) -> list[str
         problems.append(
             f"iterations ({result.iterations}) cannot be smaller than accepted pairs"
         )
-    r_ids = {int(pid) for pid in spec.r_points.ids}
-    s_ids = {int(pid) for pid in spec.s_points.ids}
-    for position, pair in enumerate(result.pairs):
-        if pair.r_id not in r_ids:
-            problems.append(f"pair {position}: unknown r_id {pair.r_id}")
-        if pair.s_id not in s_ids:
-            problems.append(f"pair {position}: unknown s_id {pair.s_id}")
-        if not (0 <= pair.r_index < spec.n):
-            problems.append(f"pair {position}: r_index {pair.r_index} out of range")
-        elif int(spec.r_points.ids[pair.r_index]) != pair.r_id:
-            problems.append(f"pair {position}: r_index does not match r_id")
-        if not (0 <= pair.s_index < spec.m):
-            problems.append(f"pair {position}: s_index {pair.s_index} out of range")
-        elif int(spec.s_points.ids[pair.s_index]) != pair.s_id:
-            problems.append(f"pair {position}: s_index does not match s_id")
-        if (
-            0 <= pair.r_index < spec.n
-            and 0 <= pair.s_index < spec.m
-            and not spec.pair_matches(pair.r_index, pair.s_index)
-        ):
+    pairs = result.pairs
+    r_unknown = ~np.isin(pairs.r_ids, spec.r_points.ids)
+    s_unknown = ~np.isin(pairs.s_ids, spec.s_points.ids)
+    r_in, r_mismatch = _position_checks(spec.r_points.ids, pairs.r_index, pairs.r_ids)
+    s_in, s_mismatch = _position_checks(spec.s_points.ids, pairs.s_index, pairs.s_ids)
+    both = r_in & s_in
+    outside = np.zeros(both.shape, dtype=bool)
+    outside[both] = ~spec.pairs_match(pairs.r_index[both], pairs.s_index[both])
+    flagged = r_unknown | s_unknown | ~r_in | r_mismatch | ~s_in | s_mismatch | outside
+    # Only flagged pairs are visited, in order, so the report reads as a
+    # per-pair scan would write it.
+    for position in np.flatnonzero(flagged).tolist():
+        r_id, s_id = int(pairs.r_ids[position]), int(pairs.s_ids[position])
+        if r_unknown[position]:
+            problems.append(f"pair {position}: unknown r_id {r_id}")
+        if s_unknown[position]:
+            problems.append(f"pair {position}: unknown s_id {s_id}")
+        if not r_in[position]:
             problems.append(
-                f"pair {position}: ({pair.r_id}, {pair.s_id}) is not a join pair"
+                f"pair {position}: r_index {int(pairs.r_index[position])} out of range"
             )
+        elif r_mismatch[position]:
+            problems.append(f"pair {position}: r_index does not match r_id")
+        if not s_in[position]:
+            problems.append(
+                f"pair {position}: s_index {int(pairs.s_index[position])} out of range"
+            )
+        elif s_mismatch[position]:
+            problems.append(f"pair {position}: s_index does not match s_id")
+        if outside[position]:
+            problems.append(f"pair {position}: ({r_id}, {s_id}) is not a join pair")
     for field_name, value in result.timings.as_dict().items():
         if value < 0:
             problems.append(f"negative timing for {field_name}")

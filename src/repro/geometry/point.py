@@ -102,6 +102,8 @@ class PointSet:
                 "x and y arrays must have the same length "
                 f"({xs_arr.shape[0]} != {ys_arr.shape[0]})"
             )
+        if not (np.isfinite(xs_arr).all() and np.isfinite(ys_arr).all()):
+            raise InvalidSpecError("coordinates must be finite (no NaN or inf)")
         if ids is None:
             ids_arr = np.arange(xs_arr.shape[0], dtype=np.int64)
         else:

@@ -62,7 +62,7 @@ from repro.core.base import (
     JoinSampler,
     JoinSampleResult,
     PhaseTimings,
-    SamplePair,
+    SamplePairs,
     build_sample_pairs,
 )
 from repro.core.config import JoinSpec
@@ -242,10 +242,9 @@ def _resident_draw(t: int, seed: int) -> tuple[np.ndarray, np.ndarray, int, floa
     sampler = _RESIDENT_SAMPLER
     assert sampler is not None, "draw routed to a shard that was never built"
     result = sampler.sample(t, seed=seed)
-    pairs = result.index_pairs()
     return (
-        pairs[:, 0],
-        pairs[:, 1],
+        result.pairs.r_index,
+        result.pairs.s_index,
         result.iterations,
         result.timings.sample_seconds,
     )
@@ -632,7 +631,7 @@ class ShardedSampler(JoinSampler):
             )
 
         start = time.perf_counter()
-        pairs: list[SamplePair] = []
+        pairs = SamplePairs.empty()
         iterations = 0
         if built.alias is not None and t > 0:
             # Two-level draw: route every sample slot to a shard by exact
@@ -707,10 +706,9 @@ class ShardedSampler(JoinSampler):
                     assert sampler is not None  # zero-weight shards never drawn
                     with self._shard_locks[index]:
                         result = sampler.sample(count, seed=seed)
-                    index_pairs = result.index_pairs()
                     draws[index] = (
-                        index_pairs[:, 0],
-                        index_pairs[:, 1],
+                        result.pairs.r_index,
+                        result.pairs.s_index,
                         result.iterations,
                         result.timings.sample_seconds,
                     )

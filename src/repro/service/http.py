@@ -87,12 +87,16 @@ def _jsonable(value: Any) -> Any:
 
 
 def result_to_json(result: JoinSampleResult) -> dict[str, Any]:
-    """The wire form of one draw reply (pairs by dataset identifiers)."""
+    """The wire form of one draw reply (pairs by dataset identifiers).
+
+    The ``[r_id, s_id]`` rows are encoded straight from the id columns.
+    """
+    pairs = result.pairs
     return {
         "sampler": result.sampler_name,
         "requested": result.requested,
-        "returned": len(result.pairs),
-        "pairs": [list(pair.as_id_tuple()) for pair in result.pairs],
+        "returned": len(pairs),
+        "pairs": np.column_stack((pairs.r_ids, pairs.s_ids)).tolist(),
         "iterations": result.iterations,
         "acceptance_rate": result.acceptance_rate,
         "timings": result.timings.as_dict(),
@@ -217,7 +221,9 @@ class ServiceServer:
         try:
             method, target, _version = request_line.decode("latin-1").split(" ", 2)
         except ValueError:
-            await self._send_json(writer, 400, {"error": "malformed request line"})
+            await self._send_json(
+                writer, 400, {"error": "malformed request line"}, keep_alive=False
+            )
             return False
         headers: dict[str, str] = {}
         header_bytes = 0
@@ -225,15 +231,29 @@ class ServiceServer:
             line = await reader.readline()
             header_bytes += len(line)
             if header_bytes > _MAX_HEADER:
-                await self._send_json(writer, 400, {"error": "headers too large"})
+                await self._send_json(
+                    writer, 400, {"error": "headers too large"}, keep_alive=False
+                )
                 return False
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        # 1*DIGIT only: int() would also take signs, spaces and underscores.
+        if not (declared.isascii() and declared.isdigit()):
+            await self._send_json(
+                writer,
+                400,
+                {"error": f"invalid Content-Length {declared!r}"},
+                keep_alive=False,
+            )
+            return False
+        length = int(declared)
         if length > _MAX_BODY:
-            await self._send_json(writer, 413, {"error": "request body too large"})
+            await self._send_json(
+                writer, 413, {"error": "request body too large"}, keep_alive=False
+            )
             return False
         body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "").lower() != "close"

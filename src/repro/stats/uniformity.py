@@ -14,7 +14,6 @@ counterpart on inputs small enough to enumerate ``J``:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,9 @@ def empirical_pair_frequencies(
     """
     positions = {pair: index for index, pair in enumerate(join_pairs)}
     counts = np.zeros(len(join_pairs), dtype=np.int64)
-    observed = Counter(pair.as_index_tuple() for pair in result.pairs)
-    for pair, count in observed.items():
+    distinct, multiplicity = np.unique(result.index_pairs(), axis=0, return_counts=True)
+    for row, count in zip(distinct.tolist(), multiplicity.tolist()):
+        pair = (row[0], row[1])
         if pair not in positions:
             raise InvalidSpecError(f"sampled pair {pair} is not in the enumerated join result")
         counts[positions[pair]] = count

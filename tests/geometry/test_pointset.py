@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import InvalidSpecError
 from repro.geometry.point import Point, PointSet
 
 
@@ -28,6 +29,14 @@ class TestConstruction:
     def test_two_dimensional_input_raises(self):
         with pytest.raises(ValueError):
             PointSet(xs=np.zeros((2, 2)), ys=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_raise(self, bad):
+        # A NaN would map to an INT64_MIN grid key and silently drop out of J.
+        with pytest.raises(InvalidSpecError, match="finite"):
+            PointSet(xs=[1.0, bad], ys=[2.0, 3.0])
+        with pytest.raises(InvalidSpecError, match="finite"):
+            PointSet.from_array(np.array([[1.0, 2.0], [3.0, bad]]))
 
     def test_from_points(self):
         pts = [Point(5, 1.0, 2.0), Point(9, 3.0, 4.0)]

@@ -8,7 +8,9 @@ import json
 import pytest
 
 from repro.api.session import SamplingSession
+from repro.core.base import SamplePair
 from repro.service import ServiceConfig, ServiceServer, http_request
+from repro.service.http import result_to_json
 
 from service_helpers import ALGORITHM, make_core, make_spec
 
@@ -223,6 +225,33 @@ class TestErrorMapping:
 
         assert run_with_server(scenario) == 400
 
+    @pytest.mark.parametrize(
+        ("declared", "status"),
+        [("abc", 400), ("-5", 400), ("+5", 400), (str(64 * 1024 * 1024), 413)],
+    )
+    def test_bad_content_length_gets_a_reply_then_close(self, declared, status):
+        # Without a usable length the body cannot be framed: the server must
+        # answer and close, not drop the client without a reply.
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(
+                    b"POST /v1/draw HTTP/1.1\r\n"
+                    b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+                )
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(), timeout=30)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            head, _, body = reply.partition(b"\r\n\r\n")
+            return head.split(b"\r\n"), json.loads(body)
+
+        head, body = run_with_server(scenario)
+        assert int(head[0].split(b" ")[1]) == status
+        assert b"Connection: close" in head
+        assert body["error"]
+
     def test_overload_is_503_with_retry_after(self):
         core = make_core(
             ServiceConfig(
@@ -277,6 +306,37 @@ class TestErrorMapping:
             assert blocker_status == 200
         finally:
             core.close()
+
+
+class TestColumnarReply:
+    def test_wire_bytes_match_the_per_pair_encoding(self):
+        twin = SamplingSession.from_spec(make_spec(seed=3), algorithm=ALGORITHM)
+        try:
+            result = twin.draw(500, seed=12)
+        finally:
+            twin.close()
+        per_pair = dict(result_to_json(result))
+        per_pair["pairs"] = [list(pair.as_id_tuple()) for pair in result.pairs]
+        assert json.dumps(result_to_json(result)) == json.dumps(per_pair)
+
+    def test_http_draw_builds_no_pair_objects(self, monkeypatch):
+        built = []
+        original = SamplePair.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SamplePair, "__init__", counting)
+
+        async def scenario(server):
+            return await http_request(
+                server.host, server.port, "POST", "/v1/draw", {"t": 10_000, "seed": 8}
+            )
+
+        status, body = run_with_server(scenario)
+        assert status == 200 and len(body["pairs"]) == body["returned"] == 10_000
+        assert built == []
 
 
 class TestShutdown:
